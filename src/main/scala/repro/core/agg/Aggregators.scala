@@ -162,9 +162,9 @@ object AggState {
     }
   }
 
-  /** countDistinct — per-value reference counts (the paper keeps these in an
+  /** countDistinct — per-value reference counts. The paper keeps these in an
     * auxiliary RocksDB column family; here they are part of the serialized
-    * state and the engine's state store charges for the extra accesses).
+    * state, so one key per (metric, entity) holds them, as for every kind.
     */
   final class CountDistinctState(val counts: mutable.HashMap[String, Long] = mutable.HashMap.empty)
       extends AggState {

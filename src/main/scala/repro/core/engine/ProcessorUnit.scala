@@ -67,8 +67,6 @@ final class ProcessorUnit(val unitId: String,
 
   def registerStream(meta: StreamMeta): Unit = streams(meta.name) = meta
 
-  def knownStreams: Seq[StreamMeta] = streams.values.toSeq
-
   private def streamOfTopic(topic: String): StreamMeta =
     streams.values.find(_.topics.contains(topic)).getOrElse(
       throw new NoSuchElementException(s"no stream registered for topic $topic"))

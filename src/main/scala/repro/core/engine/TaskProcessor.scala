@@ -1,6 +1,6 @@
 package repro.core.engine
 
-import repro.core.model.{Event, FieldDef}
+import repro.core.model.FieldDef
 import repro.core.plan.{MetricResult, TaskPlan}
 import repro.core.query.RailgunQuery
 import repro.core.reservoir.{AppendOutcome, EventReservoir, ReservoirConfig, SchemaRegistry}
@@ -32,8 +32,6 @@ final class TaskProcessor(val task: TopicPartition,
   var lastOffset: Long = -1L
   var eventsProcessed: Long = 0L
   var duplicatesSeen: Long = 0L
-
-  def currentQueries: Seq[RailgunQuery] = queries
 
   /** Registers a metric; its window is backfilled from the reservoir. */
   def addQuery(q: RailgunQuery): Unit = if (!queries.exists(_.name == q.name)) {
@@ -73,7 +71,6 @@ final class TaskProcessor(val task: TopicPartition,
   }
 
   def iteratorCount: Int = plan.iteratorCount
-  def prefixNodeCount: Int = plan.prefixNodeCount
   def reservoirRef: EventReservoir = reservoir
   def storeRef: LsmStore = store
 

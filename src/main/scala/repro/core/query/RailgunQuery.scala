@@ -1,10 +1,18 @@
 package repro.core.query
 
 import repro.core.agg.AggKind
+import repro.core.model.Event
 
 /** One aggregation of a SELECT list: e.g. sum(amount), count(). */
 final case class AggSpec(kind: AggKind, field: Option[String]) {
   def label: String = s"${kind.name}(${field.getOrElse("*")})"
+
+  /** The value an event contributes to this aggregation's state. */
+  def input(e: Event): Any = kind match {
+    case AggKind.Count         => 1.0
+    case AggKind.CountDistinct => e.str(field.get)
+    case _                     => e.num(field.get)
+  }
 }
 
 /** Window expressions of the Railgun language (Fig. 4). Hopping windows are

@@ -1,6 +1,6 @@
 package repro.core.reservoir
 
-import java.io.{DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
+import java.io.{DataInputStream, DataOutputStream}
 import java.nio.ByteBuffer
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, StandardOpenOption}
@@ -88,26 +88,8 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
     }
   }
 
-  def firstChunkId: Option[Long] = synchronized(metas.headOption.map(_.chunkId))
-  def lastChunkId: Option[Long] = synchronized(metas.lastOption.map(_.chunkId))
   def persistedChunks: Int = synchronized(metas.size)
   def fileCount: Long = synchronized(currentFileId + 1)
-
-  /** Timestamp index: id of the first persisted chunk whose events may
-    * include `ts` or later, i.e. the last chunk with firstTs <= ts (or the
-    * first chunk overall if ts precedes everything).
-    */
-  def chunkIdForTs(ts: Long): Option[Long] = synchronized {
-    if (metas.isEmpty) None
-    else {
-      var lo = 0; var hi = metas.size - 1; var ans = 0
-      while (lo <= hi) {
-        val mid = (lo + hi) / 2
-        if (metas(mid).firstTs <= ts) { ans = mid; lo = mid + 1 } else hi = mid - 1
-      }
-      Some(metas(ans).chunkId)
-    }
-  }
 
   def writeManifest(out: DataOutputStream): Unit = synchronized {
     writer.force(true)

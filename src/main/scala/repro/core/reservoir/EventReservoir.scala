@@ -34,11 +34,7 @@ final case class ReservoirConfig(
       * this long (in event time) after it filled — the paper's watermark-like
       * knob for extensive out-of-order support.
       */
-    closeDelayMs: Long = 0L,
-    /** How many finalized chunks (besides open/transition) keep their ids in
-      * the dedup set.
-      */
-    dedupRecentChunks: Int = 2)
+    closeDelayMs: Long = 0L)
 
 /** Summary of a finalized chunk kept in the reservoir's in-memory timestamp
   * index (available before the asynchronous persist completes).
@@ -103,7 +99,8 @@ final class EventReservoir(val dir: java.nio.file.Path,
   private var total: Long = 0L
   private val index = mutable.ArrayBuffer.empty[ChunkSummary]
 
-  // dedup ids of in-memory chunks: open + transition + recent finalized
+  // dedup ids of in-memory chunks: open + transition + the two most recent
+  // finalized ones
   private val dedupSets = mutable.ArrayDeque.empty[(Long, mutable.HashSet[Long])]
   dedupSets.append((openId, mutable.HashSet.empty[Long]))
 
@@ -185,8 +182,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
     lastFinalizedMaxTs = math.max(lastFinalizedMaxTs, chunk.lastTs)
     index += ChunkSummary(cid, chunk.firstTs, chunk.lastTs, chunk.size)
     pending.update(cid, chunk)
-    // keep dedup ids only for the most recent finalized chunks
-    while (dedupSets.size > 1 + transition.size + config.dedupRecentChunks)
+    while (dedupSets.size > 1 + transition.size + 2)
       dedupSets.removeHead()
     persistPool.execute { () =>
       store.persist(chunk)

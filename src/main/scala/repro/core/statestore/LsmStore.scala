@@ -8,19 +8,20 @@ import scala.collection.mutable
   * RocksDB (§4.1.3).
   *
   * Same shape as the paper's usage: column families, point get/put/delete,
-  * prefix iteration (for countDistinct auxiliary data), cheap checkpoints
-  * (only the memtable needs flushing), and restore-from-checkpoint for task
-  * recovery. Writes land in an in-memory memtable; when it exceeds
-  * `memtableLimit` entries it is flushed to a sorted, immutable segment
-  * file. Reads check the memtable then segments newest-first. Segments are
-  * merge-compacted when they pile up.
+  * cheap checkpoints (only the memtable needs flushing), and
+  * restore-from-checkpoint for task recovery. Writes land in an in-memory
+  * memtable; when it exceeds `memtableLimit` entries it is flushed to a
+  * sorted, immutable segment file. Reads check the memtable then segments
+  * newest-first. Segments are merge-compacted once more than 8 pile up; a
+  * segment the last checkpoint manifest lists outlives its compaction until
+  * the next checkpoint, so that manifest stays restorable.
   *
   * Substitution note (DESIGN.md §3): what matters for the paper's argument
   * is the *number of state accesses per event* — O(windowSize/hop) for
   * hopping windows vs O(#leaf aggregators) for Railgun — and both engines
   * in this repo pay them through this same store.
   */
-final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int = 8) {
+final class LsmStore(val dir: Path, memtableLimit: Int = 8192) {
   Files.createDirectories(dir)
 
   private type Key = (String, String) // (column family, key)
@@ -30,6 +31,10 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
   private val memtable = mutable.TreeMap.empty[Key, Option[Array[Byte]]]
   private val segments = mutable.ArrayBuffer.empty[Segment] // newest last
   private var nextSegmentId: Long = 0L
+  /** Segment ids the last written checkpoint manifest lists. */
+  private var checkpointed: Set[Long] = Set.empty
+  /** Compacted-away segments kept on disk for that manifest. */
+  private val retired = mutable.ArrayBuffer.empty[Segment]
 
   var gets: Long = 0L
   var puts: Long = 0L
@@ -125,16 +130,6 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     }
   }
 
-  /** All live (cf, key) entries with the given key prefix — merged view. */
-  def scanPrefix(cf: String, prefix: String): Seq[(String, Array[Byte])] = synchronized {
-    val merged = mutable.TreeMap.empty[Key, Option[Array[Byte]]]
-    segments.foreach(s => s.readAll().foreach { case (k, v) => merged.update(k, v) })
-    memtable.foreach { case (k, v) => merged.update(k, v) }
-    merged.iterator.collect {
-      case ((c, k), Some(v)) if c == cf && k.startsWith(prefix) => (k, v)
-    }.toSeq
-  }
-
   /** Flushes the memtable to a new sorted segment. */
   def flush(): Unit = synchronized {
     if (memtable.nonEmpty) {
@@ -143,7 +138,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       segments += seg
       memtable.clear()
       flushes += 1
-      if (segments.size > maxSegments) compact()
+      if (segments.size > 8) compact()
     }
   }
 
@@ -155,7 +150,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       val live = merged.iterator.filter(_._2.isDefined)
       val seg = new Segment(nextSegmentId); nextSegmentId += 1
       seg.write(live)
-      segments.foreach(_.delete())
+      segments.foreach(s => if (checkpointed.contains(s.id)) retired += s else s.delete())
       segments.clear()
       segments += seg
       compactions += 1
@@ -171,10 +166,9 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     out.writeLong(nextSegmentId)
     out.writeInt(segments.size)
     segments.foreach(s => out.writeLong(s.id))
-  }
-
-  def entryCountEstimate: Long = synchronized {
-    memtable.size.toLong + segments.iterator.map(_.keys.length.toLong).sum
+    checkpointed = segments.iterator.map(_.id).toSet
+    retired.foreach(_.delete())
+    retired.clear()
   }
 
   def segmentCount: Int = synchronized(segments.size)
@@ -207,6 +201,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       seg.keys = ks.toArray; seg.offsets = offs.toArray
       segments += seg
     }
+    checkpointed = segments.iterator.map(_.id).toSet
   }
 }
 
@@ -225,9 +220,8 @@ object LsmStore {
   /** Restores a store from a checkpoint manifest over an existing (or copied)
     * data directory.
     */
-  def restore(dir: Path, in: DataInputStream,
-              memtableLimit: Int = 8192, maxSegments: Int = 8): LsmStore = {
-    val s = new LsmStore(dir, memtableLimit, maxSegments)
+  def restore(dir: Path, in: DataInputStream): LsmStore = {
+    val s = new LsmStore(dir)
     s.restoreFrom(in)
     s
   }

@@ -1,7 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.spark.{HoppingAggSpark, Payments, SlidingAggSpark}
 
 /** §2.1 / Figure 1 accuracy table: per-event error rate of hopping windows

@@ -1,7 +1,5 @@
 package repro.sim
 
-import scala.util.Random
-
 /** Discrete-event model of a multi-node Railgun deployment for the scaling
   * experiment (Fig. 10) — DESIGN.md §3 substitution 5.
   *
@@ -33,9 +31,6 @@ object ClusterSim {
   val PartitionKnee: Int = 280
   /** RTT inflation per partition past the knee. */
   val PartitionRttSlope: Double = 0.002
-
-  final case class NodeResult(nodeId: Int, targetRate: Double, achievedRate: Double,
-                              p999: Double, saturated: Boolean)
 
   final case class ClusterResult(nodes: Int,
                                  targetRatePerSec: Double,

@@ -51,7 +51,7 @@ class LsmStoreSpec extends AnyFunSuite {
   }
 
   test("compaction merges segments and drops tombstones") {
-    val st = new LsmStore(TestKit.tempDir("lsm"), memtableLimit = 2, maxSegments = 3)
+    val st = new LsmStore(TestKit.tempDir("lsm"), memtableLimit = 2)
     (1 to 20).foreach(i => st.put("cf", s"k${i % 6}", b(s"v$i")))
     st.delete("cf", "k0")
     st.flush(); st.compact()
@@ -67,15 +67,6 @@ class LsmStoreSpec extends AnyFunSuite {
     (1 to 100).foreach(i => assert(st.get("cf", s"k$i").isDefined))
   }
 
-  test("scanPrefix returns the merged live view in key order") {
-    val st = new LsmStore(TestKit.tempDir("lsm"), memtableLimit = 3)
-    st.put("cf", "p|a", b("1")); st.put("cf", "p|b", b("2")); st.flush()
-    st.put("cf", "p|b", b("2x")); st.put("cf", "q|z", b("9")); st.delete("cf", "p|a")
-    val got = st.scanPrefix("cf", "p|")
-    assert(got.map(_._1) == Seq("p|b"))
-    assert(got.map(kv => s(kv._2)) == Seq("2x"))
-  }
-
   test("checkpoint + restore over the same directory recovers all data") {
     val dir = TestKit.tempDir("lsm-ckpt")
     val st = new LsmStore(dir, memtableLimit = 4)
@@ -89,6 +80,19 @@ class LsmStoreSpec extends AnyFunSuite {
     // restored store accepts further writes
     re.put("cf", "new", b("x")); re.flush()
     assert(re.get("cf", "new").isDefined)
+  }
+
+  test("a checkpoint stays restorable after a later compaction") {
+    val dir = TestKit.tempDir("lsm-ckpt-compact")
+    val st = new LsmStore(dir, memtableLimit = 2)
+    (1 to 6).foreach(i => st.put("cf", s"k$i", b(s"v$i")))
+    val bos = new ByteArrayOutputStream()
+    st.checkpoint(new DataOutputStream(bos))
+    (7 to 20).foreach(i => st.put("cf", s"k$i", b(s"v$i")))
+    assert(st.compactions > 0)
+    val re = LsmStore.restore(dir, new DataInputStream(new ByteArrayInputStream(bos.toByteArray)))
+    (1 to 6).foreach(i => assert(re.get("cf", s"k$i").map(s).contains(s"v$i")))
+    assert(re.get("cf", "k7").isEmpty)
   }
 
   test("checkpoint files can be copied to another directory (recovery transfer)") {
@@ -109,7 +113,7 @@ class LsmStoreSpec extends AnyFunSuite {
       v <- Gen.alphaNumStr.map(_.take(8))
     } yield (op, k, v)
     TestKit.checkProp(Prop.forAll(Gen.listOfN(120, genOp)) { ops =>
-      val st = new LsmStore(TestKit.tempDir("lsm-prop"), memtableLimit = 7, maxSegments = 3)
+      val st = new LsmStore(TestKit.tempDir("lsm-prop"), memtableLimit = 7)
       val model = collection.mutable.Map.empty[String, String]
       ops.foreach {
         case (0, k, v) => st.put("cf", k, b(v)); model(k) = v

@@ -265,16 +265,26 @@ class TaskPlanSpec extends AnyFunSuite {
   test("plan rebuild without backfill preserves existing query state") {
     val events = randomEvents(200, seed = 66)
     val (res, store) = fixture()
-    val query = q("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 80 ms", "keep")
-    var plan = new TaskPlan(Seq(query), res, store)
+    val queries = Seq(
+      q("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 80 ms", "keep"),
+      q("SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 80 ms", "cdSliding"),
+      q("SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER tumbling 100 ms", "cdTumbling"))
+    var plan = new TaskPlan(queries, res, store)
     val (a, b) = events.splitAt(100)
     a.foreach { e => res.append(e); plan.onEvent(e) }
     plan.flushState() // checkpoint barrier — recovery restores from the store
-    plan = new TaskPlan(Seq(query), res, store) // e.g. after a recovery restore
+    plan = new TaskPlan(queries, res, store) // e.g. after a recovery restore
     val out = b.map { e => res.append(e); plan.onEvent(e) }
     val windows = TestKit.bruteSliding(events, 80, _.str("cardId"))
     b.indices.foreach { i =>
-      assert(out(i).head.value.contains(TestKit.count(windows(100 + i))), s"event ${100 + i}")
+      val n = 100 + i
+      val e = events(n)
+      val tumbling = events.take(n + 1).filter(x => x.str("cardId") == e.str("cardId") &&
+        math.floorDiv(x.ts, 100) == math.floorDiv(e.ts, 100))
+      def got(query: String) = out(i).find(_.query == query).get.value
+      assert(got("keep").contains(TestKit.count(windows(n))), s"event $n")
+      assert(got("cdSliding").contains(TestKit.countDistinct(windows(n), "merchantId")), s"event $n sliding cd")
+      assert(got("cdTumbling").contains(TestKit.countDistinct(tumbling, "merchantId")), s"event $n tumbling cd")
     }
   }
 
